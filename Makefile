@@ -21,11 +21,10 @@ examples:
 report:
 	$(PYTHON) -m repro report
 
-# Static gates: syscall-discipline lint, whole-program determinism +
+# Static gates: whole-program syscall-discipline, determinism and
 # lock-order check (against the committed baseline), and one race-free
 # sanitized run.
 check:
-	$(PYTHON) -m repro lint
 	$(PYTHON) -m repro check --baseline staticcheck.baseline.json
 	$(PYTHON) -m repro sanitize --scenario chaos --variant lock-better --seeds 1
 

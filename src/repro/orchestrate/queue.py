@@ -333,7 +333,7 @@ class JobQueue:
         else:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(record, fh)
-            return Claim(key=key, nonce=nonce, token=1)
+            return self._unless_settled(Claim(key=key, nonce=nonce, token=1))
 
         prev = self.read_lease(key)
         if prev is None:
@@ -360,7 +360,19 @@ class JobQueue:
         current = self.read_lease(key)
         if current is None or current.get("nonce") != nonce:
             return None  # lost the claim race to another worker
-        return Claim(key=key, nonce=nonce, token=record["token"], takeover=stale)
+        return self._unless_settled(
+            Claim(key=key, nonce=nonce, token=record["token"], takeover=stale)
+        )
+
+    def _unless_settled(self, claim: Claim) -> Optional[Claim]:
+        """Give back a lease won on a cell that settled after the check at
+        the top of :meth:`try_claim`: a committer writes its done marker
+        and then releases, so a released lease can belong to a finished
+        cell, and working it would only end in a fenced write."""
+        if self.is_settled(claim.key):
+            self.release(claim)
+            return None
+        return claim
 
     def renew(self, claim: Claim) -> None:
         """Heartbeat: refresh the lease's mtime, verifying ownership."""

@@ -1,10 +1,15 @@
-"""Whole-program static checker for determinism and lock ordering.
+"""Whole-program static checker: locking discipline, determinism, lock order.
 
 ``repro check`` (see :mod:`repro.staticcheck.driver`) parses the
 ``repro`` source tree — never imports it — builds a call graph with
-per-function effect summaries propagated to fixpoint, and verifies two
-whole-program contracts the runtime silently depends on:
+per-function effect summaries propagated to fixpoint, and verifies
+three contracts the runtime silently depends on:
 
+* **syscall discipline** (SAN101–SAN104): the concurrent models write
+  guarded cells only under the owning lock, use ``GuardedWrite`` on
+  lease-guarded cells, acquire lock arrays in provably ascending order
+  and never mutate declared cells outside a syscall, per each class's
+  ``@shared_state`` declaration;
 * **cell purity** (DET101–DET106): every orchestrator sweep cell and
   core/vector entry point is a deterministic function of
   ``(params, seed)`` — no unseeded entropy, no wall-clock in cached

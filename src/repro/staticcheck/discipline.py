@@ -1,9 +1,9 @@
-"""``repro lint``: AST-level syscall-discipline checks for the models.
+"""Per-function syscall-discipline pass: rules SAN101–SAN104.
 
-The lint walks ``src/repro/concurrent/*.py`` without importing anything
-and enforces the discipline the dynamic sanitizer checks at runtime,
-using each class's :func:`~repro.sanitizer.annotations.shared_state`
-declaration (read straight from the AST) as ground truth:
+The pass enforces, from the AST alone, the discipline the dynamic
+sanitizer checks at runtime, using each class's
+:func:`~repro.sanitizer.annotations.shared_state` declaration (read
+straight from the AST) as ground truth:
 
 ========  =============================================================
 SAN101    a ``Write``/``GuardedWrite`` reaches a guarded cell on a path
@@ -23,111 +23,34 @@ SAN104    raw attribute mutation of declared shared state
           (``cell.value = ...``) outside a syscall
 ========  =============================================================
 
-Intentional exceptions carry a suppression comment on the same line or
-the line above::
-
-    # sanitizer: allow(SAN104) prefill runs before the clock starts
-    self._tops[q].value = ...
-
-Suppressions are counted and listed in the report, never silent.
-
 The path analysis is a conservative abstract interpretation of each
 function body: the held-lock set is tracked through straight-line code,
-``if`` branch forks (merged by intersection; terminated branches —
-``return``/``continue``/``break``/``raise`` — drop out), ``while``
-loops (the post-loop state is the meet of the ``break`` states), and
-the try-lock idiom (``ok = yield TryAcquire(L)`` followed by ``if
-ok:``/``if not ok:``).  Lock identity is syntactic: writes to a guarded
-cell accept *any* held lock of the owning guard array, because index
-aliasing (``_tops[chosen]`` under ``_locks[first]``/``_locks[second]``)
-is beyond static reach — the exact per-index pairing is the dynamic
-detector's job.
+``with`` blocks, ``if`` branch forks (merged by intersection; terminated
+branches — ``return``/``continue``/``break``/``raise`` — drop out),
+``try`` statements (``except`` handlers start from the locks held both
+before and after the body; ``else`` continues the body; every exit is
+merged by intersection before ``finally``), loops and their ``else``
+blocks (the post-loop state is the meet of the ``break`` states and the
+normal exit), and the try-lock idiom (``ok = yield TryAcquire(L)``
+followed by ``if ok:``/``if not ok:``).  Lock identity is syntactic:
+writes to a guarded cell accept *any* held lock of the owning guard
+array, because index aliasing (``_tops[chosen]`` under
+``_locks[first]``/``_locks[second]``) is beyond static reach — the exact
+per-index pairing is the dynamic detector's job.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-RULES = {
-    "SAN101": "write to guarded cell without holding the owning lock",
-    "SAN102": "plain Write to a lease-guarded cell (use GuardedWrite)",
-    "SAN103": "blocking lock acquisition order not provably canonical",
-    "SAN104": "raw mutation of shared-cell state outside a syscall",
-}
-
-_SUPPRESS_RE = re.compile(r"#\s*sanitizer:\s*allow\((SAN\d{3})\)\s*(.*)")
+from repro.staticcheck.callgraph import FunctionInfo, Project
+from repro.staticcheck.report import Finding
 
 #: A held lock, syntactically: (attribute name, index expression source
 #: or None for scalar locks), e.g. ("_locks", "q") or ("_shared_lock", None).
 LockToken = Tuple[str, Optional[str]]
-
-
-@dataclass(frozen=True)
-class Violation:
-    file: str
-    line: int
-    rule: str
-    message: str
-
-    def describe(self) -> str:
-        return f"{self.file}:{self.line}: {self.rule} {self.message}"
-
-
-@dataclass(frozen=True)
-class Suppressed:
-    file: str
-    line: int
-    rule: str
-    reason: str
-
-    def describe(self) -> str:
-        reason = self.reason or "(no reason given)"
-        return f"{self.file}:{self.line}: {self.rule} suppressed — {reason}"
-
-
-@dataclass
-class LintReport:
-    violations: List[Violation] = field(default_factory=list)
-    suppressed: List[Suppressed] = field(default_factory=list)
-    files_checked: int = 0
-    classes_checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def describe(self) -> str:
-        lines = [
-            f"lint: {self.files_checked} file(s), "
-            f"{self.classes_checked} annotated class(es), "
-            f"{len(self.violations)} violation(s), "
-            f"{len(self.suppressed)} suppression(s)"
-        ]
-        lines += ["  " + v.describe() for v in self.violations]
-        lines += ["  " + s.describe() for s in self.suppressed]
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        """Structured form of the report (``repro lint --json``), so CI
-        and ``repro check`` can merge lint output with checker reports."""
-        return {
-            "ok": self.ok,
-            "files_checked": self.files_checked,
-            "classes_checked": self.classes_checked,
-            "violations": [
-                {"file": v.file, "line": v.line, "rule": v.rule, "message": v.message}
-                for v in self.violations
-            ],
-            "suppressed": [
-                {"file": s.file, "line": s.line, "rule": s.rule, "reason": s.reason}
-                for s in self.suppressed
-            ],
-            "rules": dict(RULES),
-        }
 
 
 @dataclass(frozen=True)
@@ -233,12 +156,25 @@ def _contains_call(node: ast.AST, names: Set[str]) -> bool:
 _TERMINATED = None
 
 
+def _meet(states: Sequence[Optional[Set[LockToken]]]) -> Optional[Set[LockToken]]:
+    """Intersection of the live states; ``_TERMINATED`` if none is live."""
+    live = [state for state in states if state is not _TERMINATED]
+    if not live:
+        return _TERMINATED
+    result = set(live[0])
+    for state in live[1:]:
+        result &= state
+    return result
+
+
 class _FunctionScan:
     """Abstract interpretation of one function body (see module docstring)."""
 
-    def __init__(self, linter: "Linter", func: ast.FunctionDef) -> None:
-        self.linter = linter
-        self.func = func
+    def __init__(self, fn: FunctionInfo, policies: Dict[str, StaticPolicy]) -> None:
+        self.fn = fn
+        self.func = fn.node
+        self.policies = policies
+        self.findings: List[Finding] = []
         #: Name -> pending TryAcquire lock token (the try-lock idiom).
         self.try_vars: Dict[str, LockToken] = {}
         #: Stack of break-state collectors for enclosing loops.
@@ -248,20 +184,26 @@ class _FunctionScan:
         self.has_order_evidence = any(
             _contains_call(stmt, {"sorted"})
             or (_contains_call(stmt, {"min"}) and _contains_call(stmt, {"max"}))
-            for stmt in func.body
+            for stmt in self.func.body
         )
 
-    def run(self) -> None:
+    def run(self) -> List[Finding]:
         self.scan_block(self.func.body, set())
         for array, indices in self.blocking_indices.items():
             if len(indices) > 1 and not self.has_order_evidence:
-                self.linter.report(
+                self.report(
                     "SAN103",
                     self.func.lineno,
                     f"{self.func.name} blocking-acquires self.{array} at "
                     f"indices {sorted(indices)} with no sorted()/min-max "
                     f"ordering evidence",
                 )
+        return self.findings
+
+    def report(self, rule: str, line: int, message: str) -> None:
+        self.findings.append(
+            Finding(rule, self.fn.module.rel, line, self.fn.qualname, message)
+        )
 
     # -- block/statement dispatch ------------------------------------------
 
@@ -292,17 +234,21 @@ class _FunctionScan:
         if isinstance(stmt, ast.For):
             return self.scan_for(stmt, held)
         if isinstance(stmt, ast.Try):
-            held = self.scan_block(stmt.body, held)
-            if held is not _TERMINATED:
-                held = self.scan_block(stmt.finalbody, held)
-            return held
-        if isinstance(stmt, (ast.Assign, ast.AugAssign)):
+            return self.scan_try(stmt, held)
+        if isinstance(stmt, ast.With):
+            for item in stmt.items:
+                held = self.scan_yields(stmt, item.context_expr, held)
+            return self.scan_block(stmt.body, held)
+        if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             self.check_raw_mutation(stmt)
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                held = self.scan_yield(stmt, node, held)
-                if held is _TERMINATED:
-                    return _TERMINATED
+        return self.scan_yields(stmt, stmt, held)
+
+    def scan_yields(
+        self, stmt: ast.stmt, node: ast.AST, held: Set[LockToken]
+    ) -> Set[LockToken]:
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.Yield, ast.YieldFrom)):
+                held = self.scan_yield(stmt, sub, held)
         return held
 
     def scan_if(
@@ -323,28 +269,36 @@ class _FunctionScan:
         after_false = (
             self.scan_block(stmt.orelse, false_state) if stmt.orelse else false_state
         )
-        if after_true is _TERMINATED:
-            return after_false
-        if after_false is _TERMINATED:
-            return after_true
-        return after_true & after_false
+        return _meet([after_true, after_false])
+
+    def scan_try(
+        self, stmt: ast.Try, held: Set[LockToken]
+    ) -> Optional[Set[LockToken]]:
+        after_body = self.scan_block(stmt.body, set(held))
+        # A handler may start anywhere in the body: assume only the locks
+        # held both before and after it.
+        handler_entry = _meet([held, after_body])
+        exits = [self.scan_block(stmt.orelse, after_body)]
+        exits += [self.scan_block(h.body, set(handler_entry)) for h in stmt.handlers]
+        after = _meet(exits)
+        if not stmt.finalbody:
+            return after
+        after_final = self.scan_block(
+            stmt.finalbody, handler_entry if after is _TERMINATED else after
+        )
+        return _TERMINATED if after is _TERMINATED else after_final
 
     def scan_while(
         self, stmt: ast.While, held: Set[LockToken]
     ) -> Optional[Set[LockToken]]:
         self.break_states.append([])
         self.scan_block(stmt.body, set(held))
-        breaks = self.break_states.pop()
-        exits: List[Set[LockToken]] = list(breaks)
+        exits: List[Optional[Set[LockToken]]] = list(self.break_states.pop())
         infinite = isinstance(stmt.test, ast.Constant) and bool(stmt.test.value)
         if not infinite:
-            exits.append(set(held))
-        if not exits:
-            return _TERMINATED  # while True with no break: nothing follows
-        result = exits[0]
-        for state in exits[1:]:
-            result &= state
-        return result
+            exits.append(self.scan_block(stmt.orelse, set(held)))
+        # while True with no break: nothing follows
+        return _meet(exits)
 
     def scan_for(
         self, stmt: ast.For, held: Set[LockToken]
@@ -355,11 +309,14 @@ class _FunctionScan:
         self._for_context = (loop_var, stmt.iter)
         body_exit = self.scan_block(stmt.body, set(held))
         self._for_context = outer
-        self.break_states.pop()
+        breaks = self.break_states.pop()
         # Assume the loop body ran (locks acquired per-iteration are held
         # after an acquire-all loop, the hold_locks_op idiom); a body
         # that terminates every path contributes nothing new.
-        return body_exit if body_exit is not _TERMINATED else set(held)
+        normal = body_exit if body_exit is not _TERMINATED else set(held)
+        if not stmt.orelse:
+            return normal
+        return _meet(breaks + [self.scan_block(stmt.orelse, normal)])
 
     _for_context: Optional[Tuple[Optional[str], ast.expr]] = None
 
@@ -367,7 +324,7 @@ class _FunctionScan:
 
     def scan_yield(
         self, stmt: ast.stmt, yield_node: ast.AST, held: Set[LockToken]
-    ) -> Optional[Set[LockToken]]:
+    ) -> Set[LockToken]:
         if isinstance(yield_node, ast.YieldFrom):
             return held  # delegation: callee checked on its own
         value = yield_node.value
@@ -413,11 +370,11 @@ class _FunctionScan:
             )
             if in_loop_over_index:
                 if not self.iterable_is_sorted(ctx[1]):
-                    self.linter.report(
+                    self.report(
                         "SAN103",
                         call.lineno,
                         f"Acquire of self.{array}[{index}] iterates an "
-                        f"order the lint cannot prove ascending "
+                        f"order the checker cannot prove ascending "
                         f"(no sorted() evidence on the loop iterable)",
                     )
             else:
@@ -448,11 +405,11 @@ class _FunctionScan:
         if cell is None:
             return
         attr, _index = cell
-        policy = self.linter.policies.get(attr)
+        policy = self.policies.get(attr)
         if policy is None or policy.atomic or policy.guard is None:
             return
         if not guarded and policy.lease_guarded:
-            self.linter.report(
+            self.report(
                 "SAN102",
                 call.lineno,
                 f"plain Write to lease-guarded self.{attr} "
@@ -462,7 +419,7 @@ class _FunctionScan:
         if guarded and len(call.args) >= 3:
             lock = self.lock_token(call.args[2])
             if lock is not None and lock[0] != policy.guard:
-                self.linter.report(
+                self.report(
                     "SAN101",
                     call.lineno,
                     f"GuardedWrite to self.{attr} names self.{lock[0]} "
@@ -470,7 +427,7 @@ class _FunctionScan:
                 )
                 return
         if not any(token[0] == policy.guard for token in held):
-            self.linter.report(
+            self.report(
                 "SAN101",
                 call.lineno,
                 f"write to self.{attr} on a path where no self.{policy.guard} "
@@ -490,67 +447,33 @@ class _FunctionScan:
             base = _self_attr(target.value)
             if base is None:
                 continue
-            if base[0] in self.linter.policies:
-                self.linter.report(
+            if base[0] in self.policies:
+                self.report(
                     "SAN104",
                     stmt.lineno,
                     f"raw mutation of self.{base[0]}.value outside a syscall",
                 )
 
 
-class Linter:
-    """Lint one file's annotated classes."""
-
-    def __init__(self, path: Path, report_into: LintReport) -> None:
-        self.path = path
-        self.rel = str(path)
-        self.out = report_into
-        self.policies: Dict[str, StaticPolicy] = {}
-        source = path.read_text()
-        self.tree = ast.parse(source, filename=str(path))
-        self.suppressions: Dict[int, Tuple[str, str]] = {}
-        for lineno, line in enumerate(source.splitlines(), start=1):
-            match = _SUPPRESS_RE.search(line)
-            if match:
-                self.suppressions[lineno] = (match.group(1), match.group(2).strip())
-
-    def run(self) -> None:
-        self.out.files_checked += 1
-        for node in self.tree.body:
-            if isinstance(node, ast.ClassDef):
-                spec = _extract_spec(node)
-                self.policies = spec or {}
-                if spec is not None:
-                    self.out.classes_checked += 1
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef):
-                        _FunctionScan(self, item).run()
-            elif isinstance(node, ast.FunctionDef):
-                self.policies = {}
-                _FunctionScan(self, node).run()
-
-    def report(self, rule: str, line: int, message: str) -> None:
-        for candidate in (line, line - 1):
-            entry = self.suppressions.get(candidate)
-            if entry is not None and entry[0] == rule:
-                self.out.suppressed.append(Suppressed(self.rel, line, rule, entry[1]))
-                return
-        self.out.violations.append(Violation(self.rel, line, rule, message))
+def shared_state_specs(project: Project) -> Dict[str, Dict[str, StaticPolicy]]:
+    """The ``@shared_state`` cell policies of every annotated class, by
+    class qualname."""
+    specs: Dict[str, Dict[str, StaticPolicy]] = {}
+    for qual, cls in project.classes.items():
+        spec = _extract_spec(cls.node)
+        if spec is not None:
+            specs[qual] = spec
+    return specs
 
 
-def default_paths() -> List[Path]:
-    """The lint's home turf: ``src/repro/concurrent/*.py``."""
-    root = Path(__file__).resolve().parents[1] / "concurrent"
-    return sorted(root.glob("*.py"))
-
-
-def lint_paths(paths: Optional[Sequence] = None) -> LintReport:
-    """Lint the given files (default: the concurrent package)."""
-    report = LintReport()
-    for path in [Path(p) for p in paths] if paths else default_paths():
-        if path.is_dir():
-            for sub in sorted(path.glob("*.py")):
-                Linter(sub, report).run()
-        else:
-            Linter(path, report).run()
-    return report
+def run_discipline_pass(project: Project) -> List[Finding]:
+    """Run SAN101–SAN104 over every function in the project; methods are
+    checked against their class's ``@shared_state`` declaration."""
+    specs = shared_state_specs(project)
+    findings: List[Finding] = []
+    for _qual, fn in sorted(project.functions.items()):
+        policies: Dict[str, StaticPolicy] = {}
+        if fn.class_name is not None:
+            policies = specs.get(fn.module.classes[fn.class_name].qualname, {})
+        findings.extend(_FunctionScan(fn, policies).run())
+    return findings

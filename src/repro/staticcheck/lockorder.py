@@ -1,7 +1,7 @@
 """Interprocedural lock-order pass: rules SAN105 and SAN106.
 
-The per-function SAN103 lint proves ascending-index acquisition *within*
-one function body; the deadlock-freedom contract of the blocking-acquire
+The per-function SAN103 check (:mod:`~repro.staticcheck.discipline`)
+proves ascending-index acquisition *within* one function body; the deadlock-freedom contract of the blocking-acquire
 paths (``hold_locks_op`` and whatever the buffered/NUMA variants add) is
 a **whole-program** property.  The moment an acquisition hides behind a
 helper call, SAN103 goes blind.  This pass doesn't:

@@ -1,7 +1,6 @@
 """Findings, suppressions, baselines: the accounting half of ``repro check``.
 
-The reporting contract mirrors the sanitizer lint's, extended with a
-baseline file for whole-tree adoption:
+One contract covers every rule (DET101–106, SAN101–106):
 
 * **Inline suppressions** — ``# staticcheck: allow(DET102) reason`` on
   the witness line or the line above silences exactly that rule at that
@@ -33,6 +32,10 @@ RULES = {
     "DET104": "builtin hash() (salted per process) reachable from a root",
     "DET105": "unordered set iteration feeding a deterministic root",
     "DET106": "module-level mutable state written from worker-executed code",
+    "SAN101": "write to guarded cell without holding the owning lock",
+    "SAN102": "plain Write to a lease-guarded cell (use GuardedWrite)",
+    "SAN103": "blocking lock acquisition order not provably canonical",
+    "SAN104": "raw mutation of shared-cell state outside a syscall",
     "SAN105": "lock array re-acquired through a helper call: ascending-index "
               "order is unprovable across the call boundary",
     "SAN106": "cycle in the static lock-acquisition graph",

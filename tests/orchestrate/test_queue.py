@@ -118,6 +118,18 @@ class TestClaims:
         assert queue.commit(claim, queue.by_key[key], {"v": 1}) == "committed"
         assert queue.try_claim(key, "w1") is None
 
+    def test_cell_settled_during_the_claim_is_given_back(self, tmp_path, monkeypatch):
+        """A worker whose settled-check ran just before another worker's
+        commit must not keep the lease the committer then released."""
+        queue = make_queue(tmp_path)
+        key = queue.keys[0]
+        winner = queue.try_claim(key, "w0")
+        assert queue.commit(winner, queue.by_key[key], {"v": 1}) == "committed"
+        answers = iter([False, True])  # the first check predates the commit
+        monkeypatch.setattr(queue, "is_settled", lambda k: next(answers))
+        assert queue.try_claim(key, "w1") is None
+        assert queue.read_lease(key)["state"] == "released"
+
     def test_tokens_stay_monotonic_across_many_turnovers(self, tmp_path):
         queue = make_queue(tmp_path)
         key = queue.keys[0]

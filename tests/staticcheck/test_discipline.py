@@ -1,10 +1,13 @@
-"""Tests for the static syscall-discipline lint (``repro lint``)."""
+"""The syscall-discipline pass of ``repro check`` (SAN101–SAN104)."""
 
+import re
 import textwrap
 
-import pytest
+from repro.staticcheck import RULES, run_check, write_baseline
 
-from repro.sanitizer.lint import RULES, default_paths, lint_paths
+from .test_fixtures import FIXTURES
+
+DISCIPLINE = FIXTURES / "discipline"
 
 HEADER = """\
 from repro.sanitizer.annotations import atomic_cell, guarded_by, shared_state
@@ -12,40 +15,19 @@ from repro.sim.syscalls import Acquire, GuardedWrite, Read, Release, TryAcquire,
 """
 
 
-def _lint_source(tmp_path, body):
+def _check_source(tmp_path, body):
     path = tmp_path / "probe.py"
     path.write_text(HEADER + textwrap.dedent(body))
-    return lint_paths([path])
+    return run_check([path])
 
 
 def _rules(report):
-    return [v.rule for v in report.violations]
-
-
-class TestRepoIsClean:
-    def test_concurrent_package_lints_clean(self):
-        report = lint_paths()
-        assert report.ok, report.describe()
-        assert report.classes_checked >= 4  # all four annotated structures
-
-    def test_suppressions_are_counted_not_silent(self):
-        """Exactly the two prefill sites are suppressed, both SAN104,
-        both with a reason."""
-        report = lint_paths()
-        assert len(report.suppressed) == 2
-        assert all(s.rule == "SAN104" for s in report.suppressed)
-        assert all(s.reason for s in report.suppressed)
-        text = report.describe()
-        assert "2 suppression(s)" in text
-
-    def test_default_paths_cover_the_concurrent_package(self):
-        names = {p.name for p in default_paths()}
-        assert {"multiqueue.py", "spraylist.py", "klsm.py", "linden_jonsson.py"} <= names
+    return [f.rule for f in report.findings]
 
 
 class TestRulesFire:
     def test_san101_unguarded_write(self, tmp_path):
-        report = _lint_source(
+        report = _check_source(
             tmp_path,
             """
             @shared_state(cells={"_cells": guarded_by("_locks")})
@@ -55,9 +37,11 @@ class TestRulesFire:
             """,
         )
         assert _rules(report) == ["SAN101"]
+        assert report.findings[0].symbol == "probe.P.f"
+        assert report.findings[0].file == "probe.py"
 
     def test_san101_wrong_guard_named(self, tmp_path):
-        report = _lint_source(
+        report = _check_source(
             tmp_path,
             """
             @shared_state(cells={"_cells": guarded_by("_locks")})
@@ -71,7 +55,7 @@ class TestRulesFire:
         assert _rules(report) == ["SAN101"]
 
     def test_san102_plain_write_to_lease_guarded_cell(self, tmp_path):
-        report = _lint_source(
+        report = _check_source(
             tmp_path,
             """
             @shared_state(cells={"_tops": guarded_by("_locks", lease_guarded=True)})
@@ -85,7 +69,7 @@ class TestRulesFire:
         assert _rules(report) == ["SAN102"]
 
     def test_san103_unordered_blocking_acquires(self, tmp_path):
-        report = _lint_source(
+        report = _check_source(
             tmp_path,
             """
             class P:
@@ -97,7 +81,7 @@ class TestRulesFire:
         assert _rules(report) == ["SAN103"]
 
     def test_san103_loop_without_sorted_evidence(self, tmp_path):
-        report = _lint_source(
+        report = _check_source(
             tmp_path,
             """
             class P:
@@ -109,7 +93,7 @@ class TestRulesFire:
         assert _rules(report) == ["SAN103"]
 
     def test_san104_raw_mutation(self, tmp_path):
-        report = _lint_source(
+        report = _check_source(
             tmp_path,
             """
             @shared_state(cells={"_tops": guarded_by("_locks")})
@@ -119,12 +103,12 @@ class TestRulesFire:
             """,
         )
         assert _rules(report) == ["SAN104"]
-        assert "SAN104" in RULES
+        assert {"SAN101", "SAN102", "SAN103", "SAN104"} <= set(RULES)
 
 
 class TestDisciplineAccepted:
     def test_try_lock_idiom_is_clean(self, tmp_path):
-        report = _lint_source(
+        report = _check_source(
             tmp_path,
             """
             @shared_state(cells={"_tops": guarded_by("_locks", lease_guarded=True)})
@@ -141,7 +125,7 @@ class TestDisciplineAccepted:
         assert report.ok, report.describe()
 
     def test_sorted_loop_acquire_is_clean(self, tmp_path):
-        report = _lint_source(
+        report = _check_source(
             tmp_path,
             """
             class P:
@@ -156,7 +140,7 @@ class TestDisciplineAccepted:
         assert report.ok, report.describe()
 
     def test_min_max_ordering_evidence_is_accepted(self, tmp_path):
-        report = _lint_source(
+        report = _check_source(
             tmp_path,
             """
             class P:
@@ -171,7 +155,7 @@ class TestDisciplineAccepted:
         assert report.ok, report.describe()
 
     def test_atomic_cells_are_exempt(self, tmp_path):
-        report = _lint_source(
+        report = _check_source(
             tmp_path,
             """
             @shared_state(cells={"_regions": atomic_cell()})
@@ -185,31 +169,78 @@ class TestDisciplineAccepted:
 
 class TestSuppression:
     def test_suppression_on_the_line_above(self, tmp_path):
-        report = _lint_source(
+        report = _check_source(
             tmp_path,
             """
             @shared_state(cells={"_tops": guarded_by("_locks")})
             class P:
                 def f(self):
-                    # sanitizer: allow(SAN104) probe fixture
+                    # staticcheck: allow(SAN104) probe fixture
                     self._tops[0].value = 1
             """,
         )
         assert report.ok
         assert len(report.suppressed) == 1
-        assert report.suppressed[0].rule == "SAN104"
+        assert report.suppressed[0].finding.rule == "SAN104"
         assert report.suppressed[0].reason == "probe fixture"
 
     def test_suppression_for_the_wrong_rule_does_not_apply(self, tmp_path):
-        report = _lint_source(
+        report = _check_source(
             tmp_path,
             """
             @shared_state(cells={"_tops": guarded_by("_locks")})
             class P:
                 def f(self):
-                    # sanitizer: allow(SAN101) wrong rule
+                    # staticcheck: allow(SAN101) wrong rule
                     self._tops[0].value = 1
             """,
         )
         assert _rules(report) == ["SAN104"]
+        assert report.suppressed == []
+
+    def test_reasonless_suppression_is_void(self, tmp_path):
+        report = _check_source(
+            tmp_path,
+            """
+            @shared_state(cells={"_tops": guarded_by("_locks")})
+            class P:
+                def f(self):
+                    # staticcheck: allow(SAN104)
+                    self._tops[0].value = 1
+            """,
+        )
+        assert _rules(report) == ["SAN104"]
+        assert report.suppressed == []
+        assert [f.rule for f in report.void_suppressions] == ["SAN104"]
+
+    def test_findings_can_be_baselined(self, tmp_path):
+        flagged = DISCIPLINE / "flagged.py"
+        baseline = tmp_path / "baseline.json"
+        write_baseline(baseline, run_check([flagged]).findings, "fixture debt")
+        report = run_check([flagged], baseline=baseline)
+        assert report.ok, report.describe()
+        assert {s.source for s in report.suppressed} == {"baseline"}
+        assert {s.finding.rule for s in report.suppressed} == {
+            "SAN101", "SAN102", "SAN103", "SAN104",
+        }
+
+
+class TestFixtures:
+    def test_flagged_fixture_reports_exactly_the_marked_lines(self):
+        """Each ``# flag: RULE`` line, including the writes inside
+        except/else/with blocks, is reported, and nothing else is."""
+        path = DISCIPLINE / "flagged.py"
+        expected = {
+            (match.group(1), lineno)
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            for match in [re.search(r"# flag: (SAN\d{3})$", line)]
+            if match
+        }
+        report = run_check([path])
+        assert {(f.rule, f.line) for f in report.findings} == expected
+        assert {rule for rule, _ in expected} == {"SAN101", "SAN102", "SAN103", "SAN104"}
+
+    def test_clean_fixture_has_no_findings(self):
+        report = run_check([DISCIPLINE / "clean.py"])
+        assert report.findings == [], report.describe()
         assert report.suppressed == []

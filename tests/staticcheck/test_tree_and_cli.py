@@ -1,12 +1,14 @@
-"""The checker against the real tree, and the `repro check` / `repro
-lint --json` command surface."""
+"""The checker against the real tree, and the `repro check` command
+surface."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.cli import main
-from repro.staticcheck import run_check
+from repro.staticcheck import load_project, run_check
+from repro.staticcheck.discipline import shared_state_specs
 
 from .test_fixtures import FIXTURES
 
@@ -20,6 +22,39 @@ class TestRealTree:
         assert report.void_suppressions == []
         for sup in report.suppressed:
             assert sup.reason.strip(), sup.describe()
+
+    def test_suppressions_are_counted_not_silent(self):
+        """Exactly seven inline waivers, each with a reason: the five
+        DET102 timing sites and the two SAN104 prefill publishes."""
+        report = run_check()
+        assert report.findings == []
+        assert len(report.suppressed) == 7, report.describe()
+        assert all(s.source == "inline" and s.reason.strip() for s in report.suppressed)
+        assert Counter(s.finding.rule for s in report.suppressed) == {
+            "DET102": 5, "SAN104": 2,
+        }
+        assert sorted(
+            (s.finding.file, s.finding.line)
+            for s in report.suppressed
+            if s.finding.rule == "SAN104"
+        ) == [
+            ("src/repro/concurrent/klsm.py", 84),
+            ("src/repro/concurrent/multiqueue.py", 203),
+        ]
+        assert "7 suppression(s)" in report.describe()
+
+    def test_pass_reads_the_four_shared_state_specs(self):
+        """The discipline pass sees the cell policies of every annotated
+        structure: MultiQueue, SprayList, k-LSM and Linden-Jonsson."""
+        specs = shared_state_specs(load_project())
+        assert set(specs) == {
+            "repro.concurrent.multiqueue.ConcurrentMultiQueue",
+            "repro.concurrent.spraylist.SprayListPQ",
+            "repro.concurrent.klsm.KLSMPQ",
+            "repro.concurrent.linden_jonsson.LindenJonssonPQ",
+        }
+        assert specs["repro.concurrent.multiqueue.ConcurrentMultiQueue"]["_tops"].lease_guarded
+        assert all(specs.values())
 
     def test_tree_roots_include_the_sweep_cells(self):
         roots = run_check().roots
@@ -65,6 +100,26 @@ class TestCheckCli:
         assert payload["ok"] is False
         assert {f["rule"] for f in payload["findings"]} == {"SAN105", "SAN106"}
 
+    def test_check_discipline_fixture_exits_nonzero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(FIXTURES / "discipline")])
+        assert exc.value.code == 1
+        out = capsys.readouterr().out
+        for rule in ("SAN101", "SAN102", "SAN103", "SAN104"):
+            assert f" {rule} [" in out
+
+    def test_check_json_lists_rules_and_reasoned_suppressions(self, capsys):
+        """The real-tree JSON report names every SAN rule and lists the
+        two SAN104 waivers: a discipline pass that stopped running would
+        show up here."""
+        assert main(["check", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True
+        assert {f"SAN10{i}" for i in range(1, 7)} <= set(payload["rules"])
+        san104 = [s for s in payload["suppressed"] if s["rule"] == "SAN104"]
+        assert len(san104) == 2
+        assert all(s["reason"] for s in payload["suppressed"])
+
     def test_write_baseline_then_check_against_it(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
         assert (
@@ -86,13 +141,3 @@ class TestCheckCli:
         )
         out = capsys.readouterr().out
         assert "suppressed (baseline) — fixture debt, tracked" in out
-
-
-class TestLintJson:
-    def test_lint_json_structure(self, capsys):
-        assert main(["lint", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        assert isinstance(payload["violations"], list)
-        # The tree carries reasoned SAN suppressions; they must be listed.
-        assert all(s["reason"] for s in payload["suppressed"])
