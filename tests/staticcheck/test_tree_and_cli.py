@@ -43,6 +43,23 @@ class TestRealTree:
         ]
         assert "7 suppression(s)" in report.describe()
 
+    def test_concurrent_package_checks_clean(self):
+        """The four annotated structures pass SAN101-104 with no finding;
+        the only waivers there are the two reasoned SAN104 prefills."""
+        report = run_check()
+        concurrent = "src/repro/concurrent/"
+        assert not [f for f in report.findings if f.file.startswith(concurrent)]
+        waived = [s.finding for s in report.suppressed if s.finding.file.startswith(concurrent)]
+        assert [f.rule for f in waived] == ["SAN104", "SAN104"]
+        project = load_project()
+        methods_of = {
+            fn.qualname.rsplit(".", 1)[0]
+            for fn in project.functions.values()
+            if fn.class_name
+        }
+        specs = shared_state_specs(project)
+        assert len(specs) == 4 and set(specs) <= methods_of
+
     def test_pass_reads_the_four_shared_state_specs(self):
         """The discipline pass sees the cell policies of every annotated
         structure: MultiQueue, SprayList, k-LSM and Linden-Jonsson."""
