@@ -211,8 +211,10 @@ def summarize(
     empties = sum(row["empties"] for row in per_shard)
     total_ops = inserts + deletes + empties
 
-    # Prefill requests carry t0 == 0: not offered traffic, no latency.
+    # Prefill events carry t0 == 0: not offered traffic, so they count
+    # toward neither throughput nor latency.
     measured = merged[merged[:, 4] > 0]
+    served = np.bincount(measured[:, 0], minlength=n_shards)
     lat = measured[:, 5] - measured[:, 4]
     is_insert = measured[:, 1] == EV_INSERT
     summary = {
@@ -223,12 +225,9 @@ def summarize(
         "empties": empties,
         "span_s": schedule.span_s,
         "wall_s": wall_s,
-        "throughput_ops_s": total_ops / wall_s if wall_s > 0 else 0.0,
+        "throughput_ops_s": measured.shape[0] / wall_s if wall_s > 0 else 0.0,
         "per_shard_ops_s": [
-            (row["inserts"] + row["deletes"] + row["empties"]) / wall_s
-            if wall_s > 0
-            else 0.0
-            for row in per_shard
+            int(n) / wall_s if wall_s > 0 else 0.0 for n in served
         ],
         "per_shard": per_shard,
     }

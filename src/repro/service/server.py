@@ -6,8 +6,9 @@ lanes; clients route each request with the same policy family as the
 paper's process — inserts via a (possibly gamma-biased) distribution
 over shards, deletes via a beta-mixed one/two-choice on the seqlock-
 published shard tops.  :func:`run_service` wires the whole thing up:
-segment, owners, prefill, loadgen workers, event collection, teardown,
-and the post-mortem ring audit that proves no crash tore shared state.
+segment, prefill (each shard's initial snapshot), owners, loadgen
+workers, event collection, teardown, and the post-mortem ring audit
+that proves no crash tore shared state.
 """
 
 from __future__ import annotations
@@ -142,6 +143,10 @@ class Router:
     def _uniform_alive(self) -> int:
         return self._alive[int(self._rng.integers(len(self._alive)))]
 
+    def _alive_insert_probs(self) -> np.ndarray:
+        probs = self._insert_probs[self._alive]
+        return probs / probs.sum()
+
     def insert_shard(self) -> int:
         if self.policy == "single":
             return self._alive[0]
@@ -151,9 +156,28 @@ class Router:
             return shard
         if self._insert_probs is None:
             return self._uniform_alive()
-        probs = self._insert_probs[self._alive]
-        probs = probs / probs.sum()
+        probs = self._alive_insert_probs()
         return self._alive[int(self._rng.choice(len(self._alive), p=probs))]
+
+    def insert_shards(self, count: int) -> np.ndarray:
+        """``count`` insert choices in one block draw.
+
+        Equal to ``count`` successive :meth:`insert_shard` calls, and
+        leaves the generator (and the round-robin cursor) in the same
+        state: NumPy's sized ``integers``/``choice`` draws consume the
+        stream exactly as the same number of scalar draws do.
+        """
+        alive = np.asarray(self._alive, dtype=np.int64)
+        if self.policy == "single":
+            return np.full(count, alive[0], dtype=np.int64)
+        if self.policy == "rr":
+            picks = alive[(self._rr + np.arange(count)) % alive.size]
+            self._rr += count
+            return picks
+        if self._insert_probs is None:
+            return alive[self._rng.integers(alive.size, size=count)]
+        probs = self._alive_insert_probs()
+        return alive[self._rng.choice(alive.size, p=probs, size=count)]
 
     def delete_shard(self) -> int:
         if self.policy == "single":
@@ -269,8 +293,9 @@ def run_shard_owner(
     point) *before* the heap mutation, the request slot recycle, and the
     event publish, and the heap is snapshotted every ``snapshot_every``
     ops — so a successor can rebuild this owner's exact state after a
-    SIGKILL at any instruction.  A virgin start is just recovery of the
-    empty snapshot.  The owner re-checks the header epoch at every
+    SIGKILL at any instruction.  A first start is just recovery of the
+    initial snapshot, which holds the shard's prefill labels (see
+    :func:`_prefill`).  The owner re-checks the header epoch at every
     commit point; observing a newer epoch means a successor already took
     over, and the owner dies with :class:`FencedOwnerError` without
     committing anything further.
@@ -534,6 +559,8 @@ class EventCollector(threading.Thread):
     ``EV_BYE`` (clean) or its owner died with nothing left to drain —
     unless a supervisor is active, in which case a dead owner is about
     to be respawned and the shard stays live until its eventual BYE.
+    The prefill events never pass through a ring: the parent adds them
+    to :attr:`events_by_shard` before the collector starts.
     """
 
     def __init__(
@@ -596,22 +623,42 @@ def _prefill(
     segment: ServiceSegment,
     schedule: ArrivalSchedule,
     router: Router,
-    timeout_s: float,
-) -> None:
-    """Load the initial population through the parent's control lane."""
-    lane = segment.lanes - 1
-    rings = [segment.request_ring(s, lane) for s in range(segment.shards)]
-    clock = 0
-    for label in schedule.prefill_labels:
-        shard = router.insert_shard()
-        clock += 1
-        deadline = time.monotonic() + timeout_s
-        while not rings[shard].try_push(OP_INSERT, int(label), clock, 0, 0):
-            if time.monotonic() > deadline:
-                raise RuntimeError(f"prefill stalled: shard {shard} not draining")
-            time.sleep(0.0002)
+) -> List[List[Tuple[int, int, int, int, int]]]:
+    """Write the initial population as each shard's initial snapshot.
+
+    Runs before any owner starts: an owner boots by recovering its
+    snapshot, so a prefilled shard is just a non-empty one.  The result
+    is the state that pushing every label through a request lane would
+    leave: label ``k`` (0-based) lands on the shard of the ``k``-th
+    insert draw, its owner stamps it Lamport clock ``k + 2`` (request
+    clock ``k + 1``, plus one), and each shard's clock is that of its
+    last label.  Returns each shard's prefill events, in clock order,
+    for the parent to record; they never pass through an event ring.
+    """
+    labels = schedule.prefill_labels
+    picks = router.insert_shards(len(labels))
+    t1_ns = time.monotonic_ns()
+    events = []
+    for s in range(segment.shards):
+        ks = np.flatnonzero(picks == s)
+        mine = labels[ks]
+        segment.snapshot(s).write(
+            epoch=0, clock=int(ks[-1]) + 2 if ks.size else 0, fold_pos=0,
+            ev_head=0, cum_inserts=int(ks.size), cum_deletes=0, cum_empties=0,
+            stopped_mask=0, watermarks=[0] * segment.lanes, labels=mine,
+        )
+        events.append(
+            [
+                (EV_INSERT, label, k + 2, 0, t1_ns)
+                for label, k in zip(mine.tolist(), ks.tolist())
+            ]
+        )
+    return events
+
+
+def _await_prefill(segment: ServiceSegment, want: int, timeout_s: float) -> None:
+    """Wait until the booted owners publish the whole prefill in their headers."""
     deadline = time.monotonic() + timeout_s
-    want = len(schedule.prefill_labels)
     while True:
         total = sum(segment.header(s).read()[2] for s in range(segment.shards))
         if total >= want:
@@ -621,32 +668,21 @@ def _prefill(
         time.sleep(0.001)
 
 
-def _stop_owners(
-    segment: ServiceSegment,
-    timeout_s: float = 10.0,
-    dead_after_s: Optional[float] = None,
-) -> None:
+def _stop_owners(segment: ServiceSegment, dead_after_s: Optional[float] = None) -> None:
     """Send the control lane's STOP to every shard.
 
-    ``timeout_s`` caps the *cluster-wide* wait (not per shard: N dead
-    owners must not cost N timeouts), and shards whose heartbeat is
-    already ``dead_after_s`` stale are skipped outright — a full ring on
-    a dead owner would otherwise burn the whole budget for nothing.
+    The control lane carries nothing but this STOP, so a fresh view of it
+    pushes into its first slot, which is free.  Shards whose heartbeat is
+    already ``dead_after_s`` stale are skipped: nobody would consume it.
     """
     lane = segment.lanes - 1
-    deadline = time.monotonic() + timeout_s
     for s in range(segment.shards):
         if dead_after_s is not None:
             heartbeat_ns = segment.header(s).read()[3]
             age_s = (time.monotonic_ns() - heartbeat_ns) / _NS
             if heartbeat_ns == 0 or age_s > dead_after_s:
                 continue  # dead (or never-born) owner: nobody to stop
-        ring = segment.request_ring(s, lane)
-        ring.recover()  # prefill advanced this lane's position
-        while not ring.try_push(OP_STOP, 0, 0, 0, 0):
-            if time.monotonic() > deadline:
-                break  # owner dead and ring full: nobody left to stop
-            time.sleep(0.0002)
+        segment.request_ring(s, lane).try_push(OP_STOP, 0, 0, 0, 0)
 
 
 def _finish_stops(segment: ServiceSegment, timeout_s: float = 10.0) -> None:
@@ -725,8 +761,14 @@ def run_service(
     supervisor = None
     injector = None
     try:
+        prefill_router = Router(
+            segment, beta=beta, gamma=gamma, policy=policy, rng=seed
+        )
+        prefill_events = _prefill(segment, schedule, prefill_router)
         cluster.start()
         collector = EventCollector(segment, cluster)
+        for recorded, prefilled in zip(collector.events_by_shard, prefill_events):
+            recorded.extend(prefilled)
         collector.start()
         if supervise or chaos_spec is not None:
             from repro.service.supervisor import ChaosInjector, Supervisor
@@ -744,10 +786,7 @@ def run_service(
             )
             collector.attach_supervisor(supervisor)
             supervisor.start()
-        control_router = Router(
-            segment, beta=beta, gamma=gamma, policy=policy, rng=seed
-        )
-        _prefill(segment, schedule, control_router, timeout_s=30.0)
+        _await_prefill(segment, len(schedule.prefill_labels), timeout_s=30.0)
 
         ctx = _mp_context()
         start_ns = time.monotonic_ns() + int(0.05 * _NS)

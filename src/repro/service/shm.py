@@ -225,6 +225,16 @@ def _recover_positions(
     )
 
 
+def _format_free(buf, offset: int, capacity: int, slot_size: int) -> None:
+    """Zero ``capacity`` slots of all-``u64`` fields and set slot ``i``'s
+    sequence (its first field) to ``i``: every slot free, no payload."""
+    slots = np.ndarray(
+        (capacity, slot_size // 8), dtype="<u8", buffer=buf, offset=offset
+    )
+    slots[:] = 0
+    slots[:, 0] = np.arange(capacity, dtype=np.uint64)
+
+
 class SlotRing:
     """A fixed-capacity SPSC ring over a shared-memory region.
 
@@ -262,8 +272,7 @@ class SlotRing:
 
     def initialize(self) -> None:
         """Format every slot as free (slot ``i`` gets ``seq = i``)."""
-        for i in range(self.capacity):
-            SLOT.pack_into(self._buf, self._offset + i * SLOT.size, i, 0, 0, 0, 0, 0, 0)
+        _format_free(self._buf, self._offset, self.capacity, SLOT.size)
 
     # -- producer side ---------------------------------------------------
 
@@ -429,10 +438,8 @@ class JournalRing:
         return self._tail
 
     def initialize(self) -> None:
-        for i in range(self.capacity):
-            JSLOT.pack_into(
-                self._buf, self._offset + i * JSLOT.size, i, 0, 0, 0, 0, 0, 0, 0, 0, 0
-            )
+        """Format every slot as free (slot ``i`` gets ``seq = i``)."""
+        _format_free(self._buf, self._offset, self.capacity, JSLOT.size)
 
     # -- producer side ---------------------------------------------------
 
@@ -753,7 +760,7 @@ class ServiceSegment:
     """Layout and lifetime of the one shared-memory block of a service run.
 
     Geometry: ``lanes`` producers (loadgen workers plus the control lane
-    the parent uses for prefill/shutdown) times ``shards`` request rings,
+    the parent uses for shutdown) times ``shards`` request rings,
     one event ring per shard, one header per shard.  Any process can
     attach by name and reconstruct every view from the stored geometry.
     """

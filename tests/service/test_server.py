@@ -4,9 +4,16 @@ import threading
 
 import pytest
 
+from repro.service import metrics as service_metrics
 from repro.service.loadgen import ScheduleSpec
 from repro.service.metrics import merge_events, replay_ranks, summarize
-from repro.service.server import Router, run_service, run_shard_owner
+from repro.service.server import (
+    Router,
+    _prefill,
+    recover_shard_state,
+    run_service,
+    run_shard_owner,
+)
 from repro.service.shm import (
     EV_BYE,
     EV_DELETE,
@@ -77,6 +84,36 @@ class TestRouter:
         router.mark_dead(1)
         with pytest.raises(RuntimeError, match="every shard is dead"):
             router.mark_dead(2)
+
+    @pytest.mark.parametrize(
+        "policy,gamma", [("mq", 0.0), ("mq", 0.6), ("single", 0.0), ("rr", 0.0)]
+    )
+    @pytest.mark.parametrize("dead", [None, 1])
+    def test_insert_shards_equals_scalar_draws(self, segment, policy, gamma, dead):
+        block = Router(segment, beta=0.5, gamma=gamma, policy=policy, rng=7)
+        scalar = Router(segment, beta=0.5, gamma=gamma, policy=policy, rng=7)
+        for router in (block, scalar):
+            router.insert_shard()  # start mid-stream: rr cursor off zero
+            if dead is not None:
+                router.mark_dead(dead)
+        picks = block.insert_shards(500)
+        assert picks.tolist() == [scalar.insert_shard() for _ in range(500)]
+        assert dead not in set(picks.tolist())
+        # Same generator state and cursor afterwards: the next draws agree.
+        assert block._rng.bit_generator.state == scalar._rng.bit_generator.state
+        assert [block.delete_shard() for _ in range(50)] == [
+            scalar.delete_shard() for _ in range(50)
+        ]
+        assert [block.insert_shard() for _ in range(50)] == [
+            scalar.insert_shard() for _ in range(50)
+        ]
+
+    def test_insert_shards_of_nothing_draws_nothing(self, segment):
+        block = Router(segment, beta=0.5, rng=3)
+        assert block.insert_shards(0).tolist() == []
+        assert block._rng.bit_generator.state == Router(
+            segment, beta=0.5, rng=3
+        )._rng.bit_generator.state
 
     def test_unknown_policy_rejected(self, segment):
         with pytest.raises(ValueError, match="unknown policy"):
@@ -167,7 +204,9 @@ class TestMetricsPieces:
         out = summarize(by_shard, schedule, wall_s=2.0, rank_sample_every=1)
         assert out["inserts"] == 2 and out["deletes"] == 1
         assert out["ops_processed"] == 2
-        assert out["throughput_ops_s"] == pytest.approx(1.5)
+        # Only the two scheduled ops count: prefill is not traffic.
+        assert out["throughput_ops_s"] == pytest.approx(1.0)
+        assert out["per_shard_ops_s"] == [pytest.approx(1.0)]
         assert out["insert_p50_ms"] == pytest.approx(0.002)
         assert out["delete_p50_ms"] == pytest.approx(0.005)
         assert out["rank"]["removals"] == 1
@@ -199,3 +238,65 @@ class TestEndToEnd:
         # single client every delete removes the true minimum (rank 1).
         assert res["per_shard"][1]["inserts"] == 0
         assert res["rank"]["max_rank"] == 1
+
+
+def _reference_prefill_rows(shards, spec, beta, gamma, policy, seed):
+    """Prefill rows the way a request lane produced them: one scalar
+    ``insert_shard`` per label, owner clock ``k + 2`` for label ``k``."""
+    seg = ServiceSegment.create(shards=shards, lanes=1, req_capacity=8, ev_capacity=8)
+    try:
+        router = Router(seg, beta=beta, gamma=gamma, policy=policy, rng=seed)
+        rows = [[] for _ in range(shards)]
+        for k, label in enumerate(spec.build().prefill_labels.tolist()):
+            rows[router.insert_shard()].append((EV_INSERT, label, k + 2, 0))
+        return rows
+    finally:
+        seg.close()
+        seg.unlink()
+
+
+class TestPrefillSnapshot:
+    def test_seeded_shard_recovers_before_any_owner_ran(self, segment):
+        """A crash before the first boot: recovery alone yields exactly the
+        seeded population, clock and counters, with nothing replayed."""
+        spec = ScheduleSpec(mode="poisson", ops=10, prefill=300, rate=0.0, seed=4)
+        events = _prefill(segment, spec.build(), Router(segment, beta=0.5, rng=9))
+        expected = _reference_prefill_rows(3, spec, 0.5, 0.0, "mq", 9)
+        assert [[ev[:4] for ev in rows] for rows in events] == expected
+        for shard, rows in enumerate(expected):
+            state = recover_shard_state(segment, shard)
+            assert sorted(state.heap) == sorted(row[1] for row in rows)
+            assert state.clock == (rows[-1][2] if rows else 0)
+            assert state.cum_inserts == len(rows)
+            assert (state.cum_deletes, state.cum_empties) == (0, 0)
+            assert state.replayed == 0 and state.reemit == []
+            assert state.watermarks == [0] * segment.lanes
+            assert state.stopped == [False] * segment.lanes
+
+    @pytest.mark.parametrize(
+        "policy,gamma", [("mq", 0.0), ("mq", 0.6), ("single", 0.0), ("rr", 0.0)]
+    )
+    def test_run_records_the_request_lane_prefill(self, monkeypatch, policy, gamma):
+        spec = ScheduleSpec(mode="poisson", ops=400, prefill=4096, rate=0.0, seed=17)
+        captured = {}
+        real_summarize = service_metrics.summarize
+
+        def keep_events(events_by_shard, *args, **kwargs):
+            captured["events"] = events_by_shard
+            return real_summarize(events_by_shard, *args, **kwargs)
+
+        monkeypatch.setattr(service_metrics, "summarize", keep_events)
+        res = run_service(
+            shards=2, workers=1, spec=spec, beta=0.5, gamma=gamma, policy=policy,
+            seed=3,
+        )
+        prefill_rows = [
+            [ev[:4] for ev in rows if ev[3] == 0] for rows in captured["events"]
+        ]
+        assert prefill_rows == _reference_prefill_rows(2, spec, 0.5, gamma, policy, 3)
+        cons = res["conservation"]
+        assert cons["ok"] and cons["events_match"]
+        assert cons["residual_total"] == res["inserts"] - res["deletes"]
+        assert res["inserts"] == spec.prefill + (spec.ops + 1) // 2
+        assert res["ops_processed"] == spec.ops
+        assert res["audit"]["torn"] == 0

@@ -11,6 +11,7 @@ from repro.service.shm import (
     EV_INSERT,
     FencedOwnerError,
     JSLOT,
+    JournalRing,
     OP_DELETE,
     OP_INSERT,
     SLOT,
@@ -136,6 +137,23 @@ class TestSlotRing:
         assert a == slot_checksum(OP_INSERT, 5, 1, 2, 3)
         assert a != slot_checksum(OP_INSERT, 6, 1, 2, 3)
         assert slot_checksum(0, 0, 0, 0, 0) != 0
+
+
+class TestRingFormat:
+    @pytest.mark.parametrize("ring_cls,layout", [(SlotRing, SLOT), (JournalRing, JSLOT)])
+    def test_format_matches_per_slot_pack_on_a_dirty_buffer(self, ring_cls, layout):
+        """The vectorised format writes exactly the bytes of one
+        ``pack_into(seq=i, 0, ...)`` per slot, and nothing outside the ring."""
+        capacity, offset, pad = 37, 24, 16
+        size = offset + capacity * layout.size + pad
+        dirty = bytes((7 * i + 0xA5) & 0xFF for i in range(size))
+        fast, slow = bytearray(dirty), bytearray(dirty)
+        ring_cls(fast, offset, capacity).initialize()
+        zeros = [0] * (layout.size // 8 - 1)  # every field after seq
+        for i in range(capacity):
+            layout.pack_into(slow, offset + i * layout.size, i, *zeros)
+        assert fast == slow
+        assert fast[:offset] == dirty[:offset] and fast[-pad:] == dirty[-pad:]
 
 
 class TestShardHeader:
