@@ -25,7 +25,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -146,6 +146,25 @@ class ArrivalSchedule:
         if g % 2 == 0:
             return OP_INSERT, int(self.insert_labels[g // 2]), int(self.times_ns[g])
         return OP_DELETE, -1, int(self.times_ns[g])
+
+    def stripe_ops(
+        self, worker_id: int, n_workers: int, start_ns: int = 0
+    ) -> Tuple[List[int], List[int], List[int]]:
+        """A stripe as ``(opcodes, labels, send_ns)`` Python lists.
+
+        Entry ``k`` is :meth:`op` of the stripe's ``k``-th global op, its
+        offset moved to ``start_ns``: lists built once, so the send loop
+        reads plain ints instead of indexing NumPy arrays per op.
+        """
+        g = self.stripe(worker_id, n_workers)
+        inserts = g % 2 == 0
+        labels = np.full(g.size, -1, dtype=np.int64)
+        labels[inserts] = self.insert_labels[g[inserts] // 2]
+        return (
+            np.where(inserts, OP_INSERT, OP_DELETE).tolist(),
+            labels.tolist(),
+            (self.times_ns[g] + start_ns).tolist(),
+        )
 
 
 def _arrival_times(spec: ScheduleSpec, rng: np.random.Generator) -> np.ndarray:
@@ -272,7 +291,7 @@ def _probe_dead(
 def _push_with_failover(
     segment: ServiceSegment,
     router,
-    lane: int,
+    shard: int,
     op: int,
     label: int,
     clock: int,
@@ -283,7 +302,8 @@ def _push_with_failover(
     deadline_s: float,
     boot_ns: int,
 ) -> int:
-    """Push one request, rerouting around shards that stop draining.
+    """Retry a request whose push to ``shard`` found the ring full,
+    rerouting around shards that stop draining.
 
     A full ring is normal backpressure; a full ring *and* a stale owner
     heartbeat means the owner is gone — mark the shard dead so the
@@ -292,18 +312,18 @@ def _push_with_failover(
     """
     deadline = time.monotonic() + deadline_s
     while True:
-        shard = pick_shard()
-        if rings[shard].try_push(op, label, clock, t0_ns, 0):
-            return shard
         if _looks_dead(segment, shard, dead_after_ns, boot_ns):
             router.mark_dead(shard)
-            continue
-        if time.monotonic() > deadline:
+        elif time.monotonic() > deadline:
             raise ShardDied(
                 f"no shard accepted op {op} within {deadline_s:.0f}s "
                 f"(alive: {router.alive_shards()})"
             )
-        time.sleep(0.0002)
+        else:
+            time.sleep(0.0002)
+        shard = pick_shard()
+        if rings[shard].try_push(op, label, clock, t0_ns, 0):
+            return shard
 
 
 def run_loadgen(
@@ -331,8 +351,7 @@ def run_loadgen(
 
     segment = ServiceSegment.attach(segment_name)
     try:
-        schedule = spec.build()
-        stripe = schedule.stripe(worker_id, n_workers)
+        ops, labels, sends_ns = spec.build().stripe_ops(worker_id, n_workers, start_ns)
         router = Router(
             segment,
             beta=beta,
@@ -344,24 +363,25 @@ def run_loadgen(
         dead_after_ns = int(dead_after_s * _NS)
         boot_ns = time.monotonic_ns()
         clock = 0
-        for k, g in enumerate(stripe):
+        for k, op in enumerate(ops):
             if k % PROBE_EVERY == PROBE_EVERY - 1:
                 _probe_dead(segment, router, dead_after_ns, boot_ns)
-            op, label, offset_ns = schedule.op(int(g))
-            intended_ns = start_ns + offset_ns
+            intended_ns = sends_ns[k]
             wait_s = (intended_ns - time.monotonic_ns()) / _NS
             if wait_s > 0:
                 time.sleep(wait_s)
             clock += 1
             pick = router.insert_shard if op == OP_INSERT else router.delete_shard
-            _push_with_failover(
-                segment, router, worker_id, op, label, clock, intended_ns,
-                rings, pick, dead_after_ns, deadline_s, boot_ns,
-            )
+            shard = pick()
+            if not rings[shard].try_push(op, labels[k], clock, intended_ns, 0):
+                _push_with_failover(
+                    segment, router, shard, op, labels[k], clock, intended_ns,
+                    rings, pick, dead_after_ns, deadline_s, boot_ns,
+                )
         # Close out every lane this worker owns, even on shards it never
         # routed to — the owner waits for a STOP from each lane.
         _broadcast_stop(segment, rings, clock, deadline_s, dead_after_ns, boot_ns)
-        return len(stripe)
+        return len(ops)
     finally:
         segment.close()
 

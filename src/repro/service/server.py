@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import multiprocessing
+import multiprocessing.connection
 import sys
 import threading
 import time
@@ -80,6 +81,13 @@ class AllShardsDeadError(RuntimeError):
         super().__init__(f"every shard is dead; nowhere to route ({detail})")
 
 
+#: Uniforms a :class:`Router` draws per block.  One scalar ``Generator``
+#: call costs as much as drawing some 20-70 uniforms in a block, so
+#: routing draws in blocks, as :class:`repro.vector.chooser.BatchedChooser`
+#: does.
+ROUTE_BLOCK = 256
+
+
 class Router:
     """Client-side shard choice for inserts and deletes.
 
@@ -88,6 +96,11 @@ class Router:
     law) and takes the smaller.  Tops come from the shard headers'
     seqlock snapshots — advisory, never locked.  Shards marked dead are
     excluded from every subsequent draw.
+
+    Every random choice consumes one uniform from a buffer refilled
+    :data:`ROUTE_BLOCK` at a time.  A uniform is mapped onto the alive
+    shards only when it is used, so :meth:`mark_dead` and
+    :meth:`mark_alive` take effect on the very next pick.
     """
 
     def __init__(
@@ -102,13 +115,16 @@ class Router:
             raise ValueError(f"unknown policy {policy!r}: expected one of {POLICIES}")
         if not 0 <= beta <= 1:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
-        self._segment = segment
+        self._headers = [segment.header(s) for s in range(segment.shards)]
         self.n = segment.shards
         self.beta = float(beta)
         self.policy = policy
         self._rng = as_generator(rng)
+        self._uniforms: List[float] = []
+        self._next = 0  # index of the next unused uniform
         self._alive: List[int] = list(range(self.n))
         self._insert_probs = biased_insert_probs(self.n, gamma) if gamma else None
+        self._cdf = self._alive_cdf()
         self._rr = 0
 
     def alive_shards(self) -> Tuple[int, ...]:
@@ -122,14 +138,15 @@ class Router:
         """Seconds since each shard's last heartbeat (None: never published)."""
         now = time.monotonic_ns() if now_ns is None else now_ns
         ages: Dict[int, Optional[float]] = {}
-        for s in range(self.n):
-            heartbeat_ns = self._segment.header(s).read()[3]
+        for s, header in enumerate(self._headers):
+            heartbeat_ns = header.read()[3]
             ages[s] = None if heartbeat_ns == 0 else (now - heartbeat_ns) / _NS
         return ages
 
     def mark_dead(self, shard: int) -> None:
         if shard in self._alive:
             self._alive.remove(shard)
+            self._cdf = self._alive_cdf()
         if not self._alive:
             raise AllShardsDeadError(self.heartbeat_ages())
 
@@ -139,13 +156,41 @@ class Router:
             raise IndexError(f"shard {shard} outside [0, {self.n})")
         if shard not in self._alive:
             bisect.insort(self._alive, shard)
+            self._cdf = self._alive_cdf()
+
+    def _alive_cdf(self) -> Optional[List[float]]:
+        """Cumulative biased insert probabilities over the alive shards."""
+        if self._insert_probs is None or not self._alive:
+            return None
+        probs = self._insert_probs[self._alive]
+        return np.cumsum(probs / probs.sum()).tolist()
+
+    def _uniform(self) -> float:
+        k = self._next
+        if k == len(self._uniforms):
+            self._uniforms = self._rng.random(ROUTE_BLOCK).tolist()
+            k = 0
+        self._next = k + 1
+        return self._uniforms[k]
+
+    def _take_uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms of the stream :meth:`_uniform` reads,
+        new blocks drawn in one call, the unused rest left buffered."""
+        have = self._uniforms[self._next :]
+        if count <= len(have):
+            self._next += count
+            return np.asarray(have[:count], dtype=float)
+        used = count - len(have)
+        blocks = -(-used // ROUTE_BLOCK)
+        fresh = self._rng.random(blocks * ROUTE_BLOCK)
+        # Only the last block can have unused uniforms: buffer just that one.
+        self._uniforms = fresh[-ROUTE_BLOCK:].tolist()
+        self._next = used - (blocks - 1) * ROUTE_BLOCK
+        return np.concatenate([np.asarray(have, dtype=float), fresh[:used]])
 
     def _uniform_alive(self) -> int:
-        return self._alive[int(self._rng.integers(len(self._alive)))]
-
-    def _alive_insert_probs(self) -> np.ndarray:
-        probs = self._insert_probs[self._alive]
-        return probs / probs.sum()
+        alive = self._alive
+        return alive[int(self._uniform() * len(alive))]
 
     def insert_shard(self) -> int:
         if self.policy == "single":
@@ -154,18 +199,18 @@ class Router:
             shard = self._alive[self._rr % len(self._alive)]
             self._rr += 1
             return shard
-        if self._insert_probs is None:
+        if self._cdf is None:
             return self._uniform_alive()
-        probs = self._alive_insert_probs()
-        return self._alive[int(self._rng.choice(len(self._alive), p=probs))]
+        k = bisect.bisect_right(self._cdf, self._uniform())
+        return self._alive[min(k, len(self._alive) - 1)]
 
     def insert_shards(self, count: int) -> np.ndarray:
         """``count`` insert choices in one block draw.
 
         Equal to ``count`` successive :meth:`insert_shard` calls, and
-        leaves the generator (and the round-robin cursor) in the same
-        state: NumPy's sized ``integers``/``choice`` draws consume the
-        stream exactly as the same number of scalar draws do.
+        leaves the generator, the uniform buffer and the round-robin
+        cursor in the same state: the scalar calls would draw the same
+        whole blocks of the same stream.
         """
         alive = np.asarray(self._alive, dtype=np.int64)
         if self.policy == "single":
@@ -174,10 +219,11 @@ class Router:
             picks = alive[(self._rr + np.arange(count)) % alive.size]
             self._rr += count
             return picks
-        if self._insert_probs is None:
-            return alive[self._rng.integers(alive.size, size=count)]
-        probs = self._alive_insert_probs()
-        return alive[self._rng.choice(alive.size, p=probs, size=count)]
+        u = self._take_uniforms(count)
+        if self._cdf is None:
+            return alive[(u * alive.size).astype(np.int64)]
+        k = np.searchsorted(np.asarray(self._cdf), u, side="right")
+        return alive[np.minimum(k, alive.size - 1)]
 
     def delete_shard(self) -> int:
         if self.policy == "single":
@@ -187,14 +233,14 @@ class Router:
             self._rr += 1
             return shard
         i = self._uniform_alive()
-        two = self.beta >= 1.0 or (self.beta > 0.0 and self._rng.random() < self.beta)
-        if not two:
+        beta = self.beta
+        if beta < 1.0 and (beta <= 0.0 or self._uniform() >= beta):
             return i
         j = self._uniform_alive()
         if i == j:
             return i
-        top_i = self._segment.header(i).read()[1]
-        top_j = self._segment.header(j).read()[1]
+        top_i = self._headers[i].read()[1]
+        top_j = self._headers[j].read()[1]
         return i if top_i <= top_j else j
 
 
@@ -530,7 +576,16 @@ class ServiceCluster:
         return proc
 
     def alive(self) -> List[bool]:
-        return [p.is_alive() for p in self.processes]
+        """Which current owners are still running, reaping none of them.
+
+        ``Process.is_alive()`` reaps an exited child; from the collector
+        thread it could reap an owner the main thread was joining, and
+        the exit status was lost (``exitcode`` None).  A sentinel turns
+        ready when its process exits, and polling it reaps nothing.
+        """
+        sentinels = [p.sentinel for p in self.processes]
+        exited = set(multiprocessing.connection.wait(sentinels, 0))
+        return [sentinel not in exited for sentinel in sentinels]
 
     def retired_exitcodes(self) -> List[dict]:
         return [
@@ -549,6 +604,11 @@ class ServiceCluster:
 
 
 # -- event collection ---------------------------------------------------------
+
+#: Collector sleep when a sweep drained nothing.  The collector is off the
+#: latency path (owners stamp completion times), and an 8192-slot event
+#: ring holds ~400 ms of one shard's events at 40k ops/s.
+COLLECTOR_IDLE_S = 0.002
 
 
 class EventCollector(threading.Thread):
@@ -613,7 +673,7 @@ class EventCollector(threading.Thread):
                 ):
                     live[s] = False  # killed owner, ring fully drained, no respawn coming
             if not progressed:
-                time.sleep(0.0005)
+                time.sleep(COLLECTOR_IDLE_S)
 
 
 # -- whole-service runs -------------------------------------------------------

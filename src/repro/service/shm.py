@@ -10,7 +10,7 @@ process can never corrupt what a survivor reads:
 sequence number.  A slot at ring position ``p`` reads ``seq == p`` while
 free (the producer's *claim* is the observation that its own position is
 free — single producer per ring, so the claim cannot race), the producer
-writes the payload plus a checksum, and only then *commits* by storing
+writes the payload plus its CRC-32, and only then *commits* by storing
 ``seq = p + 1``.  The consumer accepts a slot only when ``seq == c + 1``
 and recycles it with ``seq = c + capacity``.  A writer killed anywhere
 before the commit store leaves ``seq`` unpublished, so the half-written
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import struct
 import time
+import zlib
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -60,7 +61,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 #: Slot layout: absolute sequence number, opcode, label, Lamport clock,
-#: intended-start and completion timestamps (monotonic ns), checksum.
+#: intended-start and completion timestamps (monotonic ns), CRC-32
+#: checksum of the fields between sequence and checksum.
 SLOT = struct.Struct("<QQqQqqQ")
 _SEQ = struct.Struct("<Q")
 
@@ -87,11 +89,13 @@ _MASK64 = (1 << 64) - 1
 
 #: Shard header layout: fencing epoch, seqlock, top, size, heartbeat ns.
 HEADER = struct.Struct("<QQqqq")
+_HEADER_STAMP = struct.Struct("<QQ")  # epoch, seqlock
+_HEADER_BODY = struct.Struct("<qqq")  # top, size, heartbeat ns, at offset 16
 
 #: Journal slot layout: absolute sequence, opcode, label, Lamport clock,
 #: intended-start ns, source lane, request-ring position the op came from,
 #: event-ring position its event publishes at (-1: no event), owner epoch,
-#: checksum.
+#: CRC-32 checksum of the fields between sequence and checksum.
 JSLOT = struct.Struct("<QQqQqQQqQQ")
 
 #: Snapshot buffer header: format version, owner epoch, Lamport clock,
@@ -104,28 +108,28 @@ SNAP_VERSION = 1
 _SEG_HEADER = struct.Struct("<QIIIIIII")
 _SEG_HEADER_SIZE = 40
 _MAGIC = 0x4D51534852564D51  # "MQSHRVMQ"
+#: Segment layout version; 3 = CRC-32 slot and journal checksums.
+_SEG_VERSION = 3
+
+#: The checksummed payloads: the slot and journal fields between the
+#: sequence number and the checksum, packed as they sit in the slot.
+_SLOT_PAYLOAD = struct.Struct("<QqQqq")
+_JOURNAL_PAYLOAD = struct.Struct("<QqQqQQqQ")
 
 
 def slot_checksum(op: int, label: int, clock: int, t0_ns: int, t1_ns: int) -> int:
-    """FNV-style fold of a slot payload (``hash()`` is salted; this is not)."""
-    h = 0x9E3779B97F4A7C15
-    for v in (op, label & _MASK64, clock, t0_ns & _MASK64, t1_ns & _MASK64):
-        h = ((h ^ v) * 0x100000001B3) & _MASK64
-    return h or 1
+    """CRC-32 of a slot payload, with 0 mapped to 1: a zeroed slot never validates."""
+    return zlib.crc32(_SLOT_PAYLOAD.pack(op, label, clock, t0_ns, t1_ns)) or 1
 
 
 def journal_checksum(
     op: int, label: int, clock: int, t0_ns: int,
     lane: int, reqpos: int, evpos: int, epoch: int,
 ) -> int:
-    """FNV-style fold of a journal entry payload."""
-    h = 0x9E3779B97F4A7C15
-    for v in (
-        op, label & _MASK64, clock, t0_ns & _MASK64,
-        lane, reqpos, evpos & _MASK64, epoch,
-    ):
-        h = ((h ^ v) * 0x100000001B3) & _MASK64
-    return h or 1
+    """CRC-32 of a journal entry payload, never 0."""
+    return zlib.crc32(
+        _JOURNAL_PAYLOAD.pack(op, label, clock, t0_ns, lane, reqpos, evpos, epoch)
+    ) or 1
 
 
 _SNAP_SALT = 0xA5A5A5A55A5A5A5A
@@ -695,8 +699,8 @@ class ShardHeader:
 
     def bump_epoch(self) -> int:
         """Fence out any predecessor: the new owner generation's token."""
-        epoch, = struct.unpack_from("<Q", self._buf, self._offset)
-        struct.pack_into("<Q", self._buf, self._offset, epoch + 1)
+        (epoch,) = _SEQ.unpack_from(self._buf, self._offset)
+        _SEQ.pack_into(self._buf, self._offset, epoch + 1)
         return epoch + 1
 
     def publish(self, top: int, size: int, heartbeat_ns: int) -> None:
@@ -707,34 +711,33 @@ class ShardHeader:
         invert the parity convention for the rest of the shard's life,
         sending every read down the stale-fallback path.
         """
-        off = self._offset
-        (seqlock,) = struct.unpack_from("<Q", self._buf, off + 8)
+        buf, off = self._buf, self._offset
+        (seqlock,) = _SEQ.unpack_from(buf, off + 8)
         writing = seqlock | 1
-        struct.pack_into("<Q", self._buf, off + 8, writing)  # odd: writing
-        struct.pack_into("<qqq", self._buf, off + 16, top, size, heartbeat_ns)
-        struct.pack_into("<Q", self._buf, off + 8, writing + 1)  # even: stable
+        _SEQ.pack_into(buf, off + 8, writing)  # odd: writing
+        _HEADER_BODY.pack_into(buf, off + 16, top, size, heartbeat_ns)
+        _SEQ.pack_into(buf, off + 8, writing + 1)  # even: stable
 
     # -- reader side -----------------------------------------------------
 
     def read(self, max_tries: int = 64) -> Tuple[int, int, int, int]:
         """Consistent ``(epoch, top, size, heartbeat_ns)`` snapshot."""
+        buf, off = self._buf, self._offset
         for _ in range(max_tries):
-            epoch, seq1 = struct.unpack_from("<QQ", self._buf, self._offset)
+            epoch, seq1 = _HEADER_STAMP.unpack_from(buf, off)
             if seq1 % 2:
                 continue
-            top, size, heartbeat_ns = struct.unpack_from(
-                "<qqq", self._buf, self._offset + 16
-            )
-            (seq2,) = struct.unpack_from("<Q", self._buf, self._offset + 8)
+            top, size, heartbeat_ns = _HEADER_BODY.unpack_from(buf, off + 16)
+            (seq2,) = _SEQ.unpack_from(buf, off + 8)
             if seq1 == seq2:
                 return epoch, top, size, heartbeat_ns
         # The writer died mid-publish: the stale snapshot is still usable
         # for routing (tops are advisory), so return it rather than hang.
-        top, size, heartbeat_ns = struct.unpack_from("<qqq", self._buf, self._offset + 16)
+        top, size, heartbeat_ns = _HEADER_BODY.unpack_from(buf, off + 16)
         return epoch, top, size, heartbeat_ns
 
     def epoch(self) -> int:
-        (epoch,) = struct.unpack_from("<Q", self._buf, self._offset)
+        (epoch,) = _SEQ.unpack_from(self._buf, self._offset)
         return epoch
 
 
@@ -808,7 +811,7 @@ class ServiceSegment:
             journal_capacity=journal_capacity, state_capacity=state_capacity,
         )
         _SEG_HEADER.pack_into(
-            shm.buf, 0, _MAGIC, 2, shards, lanes, req_capacity, ev_capacity,
+            shm.buf, 0, _MAGIC, _SEG_VERSION, shards, lanes, req_capacity, ev_capacity,
             journal_capacity, state_capacity,
         )
         for s in range(shards):
@@ -830,10 +833,11 @@ class ServiceSegment:
         if magic != _MAGIC:
             shm.close()
             raise ValueError(f"shared segment {name!r} is not a repro.service segment")
-        if version != 2:
+        if version != _SEG_VERSION:
             shm.close()
             raise ValueError(
-                f"shared segment {name!r} has layout version {version}, expected 2"
+                f"shared segment {name!r} has layout version {version}, "
+                f"expected {_SEG_VERSION}"
             )
         return cls(
             shm, owns=False, shards=shards, lanes=lanes,

@@ -141,6 +141,18 @@ class TestDeterminismAndStriping:
         assert kinds == [OP_INSERT, OP_DELETE] * 3
         assert sched.op(1)[1] == -1  # deletes carry no label
 
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_stripe_ops_materialize_op_with_the_start_offset(self, n_workers):
+        sched = ScheduleSpec(mode="poisson", ops=1001, rate=500.0, seed=8).build()
+        start_ns = 123_456_789_000
+        for w in range(n_workers):
+            ops, labels, sends = sched.stripe_ops(w, n_workers, start_ns)
+            want = [sched.op(int(g)) for g in sched.stripe(w, n_workers)]
+            assert ops == [op for op, _, _ in want]
+            assert labels == [label for _, label, _ in want]
+            assert sends == [start_ns + offset for _, _, offset in want]
+            assert all(type(v) is int for v in ops + labels + sends)
+
     def test_stripe_bounds_checked(self):
         sched = ScheduleSpec(ops=10, seed=0).build()
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Router policies, shard-owner loop, and small end-to-end service runs."""
 
+import os
 import threading
+import time
 
 import pytest
 
@@ -8,8 +10,11 @@ from repro.service import metrics as service_metrics
 from repro.service.loadgen import ScheduleSpec
 from repro.service.metrics import merge_events, replay_ranks, summarize
 from repro.service.server import (
+    ROUTE_BLOCK,
     Router,
+    ServiceCluster,
     _prefill,
+    _stop_owners,
     recover_shard_state,
     run_service,
     run_shard_owner,
@@ -108,6 +113,19 @@ class TestRouter:
             scalar.insert_shard() for _ in range(50)
         ]
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.6])
+    def test_insert_shards_across_block_boundaries(self, segment, gamma):
+        block = Router(segment, beta=0.5, gamma=gamma, rng=9)
+        scalar = Router(segment, beta=0.5, gamma=gamma, rng=9)
+        # 1 + 255 ends a block exactly; the next counts start on a boundary.
+        for count in (1, 255, ROUTE_BLOCK, 257, 3 * ROUTE_BLOCK + 5, 1000):
+            picks = block.insert_shards(count)
+            assert picks.tolist() == [scalar.insert_shard() for _ in range(count)]
+            assert block._rng.bit_generator.state == scalar._rng.bit_generator.state
+        assert [block.delete_shard() for _ in range(300)] == [
+            scalar.delete_shard() for _ in range(300)
+        ]
+
     def test_insert_shards_of_nothing_draws_nothing(self, segment):
         block = Router(segment, beta=0.5, rng=3)
         assert block.insert_shards(0).tolist() == []
@@ -118,6 +136,35 @@ class TestRouter:
     def test_unknown_policy_rejected(self, segment):
         with pytest.raises(ValueError, match="unknown policy"):
             Router(segment, beta=0.5, policy="lifo", rng=0)
+
+    def test_beta_mixes_one_and_two_choices_in_the_paper_proportion(self, segment):
+        """The best of 3 shards wins a delete with probability
+        (1 - beta) / 3 + beta * 5/9: one probe hits it 1/3 of the time, a
+        pair contains it 5/9 of the time.  At beta = 0.5 that is 0.444; a
+        router that ignores beta reads 0.556 (always two) or 0.333 (never
+        two), both outside the +-0.02 band (5.7 standard errors here)."""
+        segment.header(0).publish(top=100, size=5, heartbeat_ns=1)
+        segment.header(1).publish(top=5, size=5, heartbeat_ns=1)
+        segment.header(2).publish(top=50, size=5, heartbeat_ns=1)
+        router = Router(segment, beta=0.5, policy="mq", rng=11)
+        picks = [router.delete_shard() for _ in range(20_000)]
+        want = (1 - 0.5) / 3 + 0.5 * 5 / 9
+        assert abs(picks.count(1) / len(picks) - want) <= 0.02
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.6])
+    def test_mark_dead_and_alive_apply_to_the_next_pick(self, segment, gamma):
+        """Liveness changes take effect at once, though uniforms are drawn
+        ahead in blocks: they are mapped onto the alive shards when used."""
+        router = Router(segment, beta=0.5, gamma=gamma, policy="mq", rng=4)
+        router.delete_shard()  # a block is buffered from here on
+        assert router._next < ROUTE_BLOCK
+        router.mark_dead(2)
+        picks = [router.delete_shard() for _ in range(500)]
+        picks += [router.insert_shard() for _ in range(500)]
+        assert 2 not in picks and {0, 1} <= set(picks)
+        router.mark_alive(2)
+        picks = [router.insert_shard() for _ in range(100)]
+        assert 2 in picks
 
 
 class TestShardOwner:
@@ -170,6 +217,38 @@ class TestShardOwner:
             assert lane.try_push(OP_STOP, 0, 9, 0, 0)
         thread.join(timeout=10.0)
         assert not thread.is_alive()
+
+
+class TestServiceCluster:
+    def test_alive_never_reaps_so_join_keeps_the_exit_status(
+        self, segment, monkeypatch
+    ):
+        """``alive()`` runs on the collector thread while the main thread
+        joins the owners: it must not wait on them (``is_alive()`` calls
+        ``waitpid``), or a join can lose an owner's exit status."""
+        cluster = ServiceCluster(segment)
+        cluster.start()
+        try:
+            for lane in range(segment.lanes - 1):  # _stop_owners sends the last
+                for s in range(segment.shards):
+                    assert segment.request_ring(s, lane).try_push(OP_STOP, 0, 1, 0, 0)
+            _stop_owners(segment)
+
+            def no_reaping(*args):
+                raise AssertionError("alive() waited on a child")
+
+            with monkeypatch.context() as patched:
+                patched.setattr(os, "waitpid", no_reaping)
+                deadline = time.monotonic() + 30.0
+                while any(cluster.alive()) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert cluster.alive() == [False] * segment.shards
+            assert cluster.join(timeout_s=30.0) == [0] * segment.shards
+        finally:
+            for proc in cluster.processes:
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
 
 
 class TestMetricsPieces:

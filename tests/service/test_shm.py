@@ -2,6 +2,7 @@
 
 import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -139,6 +140,62 @@ class TestSlotRing:
         assert slot_checksum(0, 0, 0, 0, 0) != 0
 
 
+#: (slot layout, checksum, one payload) for both checksummed rings.
+_CHECKSUMMED = [
+    (SLOT, slot_checksum, (OP_INSERT, -123456789, 42, 1 << 40, -(1 << 50))),
+    (JSLOT, journal_checksum, (EV_DELETE, -7, 99, 1 << 45, 2, 1 << 33, -1, 5)),
+]
+
+
+def _crc32_zero_payload(layout, payload):
+    """``payload`` with the low 32 bits of its last field chosen so that
+    ``zlib.crc32`` of the packed payload is 0.
+
+    CRC-32 is affine over GF(2) in the message bits, and the last 32
+    message bits map onto the CRC bijectively, so Gaussian elimination
+    over those bits finds the unique solution.
+    """
+    body = struct.Struct("<" + layout.format[2:-1])  # fields between seq and checksum
+    base = list(payload[:-1]) + [0]
+    c0 = zlib.crc32(body.pack(*base))
+    rows = []  # (crc contribution of bit b, 1 << b)
+    for b in range(32):
+        base[-1] = 1 << b
+        rows.append((zlib.crc32(body.pack(*base)) ^ c0, 1 << b))
+    target, pivots = c0, []
+    for col, tag in rows:  # reduce to echelon form keyed by leading bit
+        for pcol, ptag in pivots:
+            if col ^ pcol < col:
+                col, tag = col ^ pcol, tag ^ ptag
+        if col:
+            pivots.append((col, tag))
+    pivots.sort(reverse=True)
+    choice = 0
+    for pcol, ptag in pivots:
+        if target ^ pcol < target:
+            target, choice = target ^ pcol, choice ^ ptag
+    assert target == 0
+    base[-1] = choice
+    assert zlib.crc32(body.pack(*base)) == 0
+    return tuple(base)
+
+
+class TestChecksums:
+    @pytest.mark.parametrize("layout,checksum,payload", _CHECKSUMMED)
+    def test_every_single_bit_flip_changes_the_checksum(self, layout, checksum, payload):
+        good = layout.pack(0, *payload, 0)
+        base = checksum(*payload)
+        for bit in range(8 * 8, 8 * (layout.size - 8)):  # payload bytes only
+            torn = bytearray(good)
+            torn[bit // 8] ^= 1 << (bit % 8)
+            flipped = layout.unpack(bytes(torn))[1:-1]
+            assert checksum(*flipped) != base, f"bit {bit} flip undetected"
+
+    @pytest.mark.parametrize("layout,checksum,payload", _CHECKSUMMED)
+    def test_checksum_is_never_zero(self, layout, checksum, payload):
+        assert checksum(*_crc32_zero_payload(layout, payload)) == 1
+
+
 class TestRingFormat:
     @pytest.mark.parametrize("ring_cls,layout", [(SlotRing, SLOT), (JournalRing, JSLOT)])
     def test_format_matches_per_slot_pack_on_a_dirty_buffer(self, ring_cls, layout):
@@ -193,6 +250,11 @@ class TestServiceSegment:
             assert other.request_ring(1, 2).try_pop()[1] == 314
         finally:
             other.close()
+
+    def test_attach_rejects_an_older_layout_version(self, segment):
+        struct.pack_into("<I", segment._shm.buf, 8, 2)  # version, after the magic
+        with pytest.raises(ValueError, match="layout version 2, expected 3"):
+            ServiceSegment.attach(segment.name)
 
     def test_attach_rejects_foreign_segment(self):
         from multiprocessing import shared_memory
